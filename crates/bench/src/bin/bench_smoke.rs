@@ -11,8 +11,9 @@
 //! `--baseline <file>` turns the run into a **regression gate**: the
 //! fresh point is compared against the given committed `BENCH_*.json`
 //! and the process exits non-zero when `realloc_ns_per_op` or
-//! `events_per_sec` regress by more than 25% (quick-mode noise
-//! tolerance) on any matched scale point or on runner throughput.
+//! `events_per_sec` (`wall_ms` on the chaos-flaps point) regress by more
+//! than 25% (quick-mode noise tolerance) on any matched scale point or
+//! on runner throughput.
 //!
 //! Usage: `bench_smoke [--pr N] [--out PATH] [--baseline BENCH_prM.json]`
 
@@ -216,14 +217,19 @@ fn gate(baseline: &Value, fresh: &Value) -> Vec<String> {
             }
         }
     }
-    // Fat-tree (PR 4 on) and chaos-flaps (PR 7 on) points: same wall
-    // metrics as the scale points; skipped silently against older
-    // baselines.
-    for point in ["fat_tree", "chaos_flaps"] {
+    // Fat-tree and chaos-flaps points: wall metrics like the scale
+    // points; skipped silently against baselines that predate them.
+    // The chaos point gates its wall time instead of events/sec: one
+    // channel event per controller reaction removed ~99.9% of its
+    // events, so events/sec falls even as the run gets faster.
+    for (point, rate_metric) in [
+        ("fat_tree", ("events_per_sec", true)),
+        ("chaos_flaps", ("wall_ms", false)),
+    ] {
         let (Some(b), Some(f)) = (get(baseline, point), get(fresh, point)) else {
             continue;
         };
-        for (metric, higher_is_better) in [("events_per_sec", true), ("realloc_ns_per_op", false)] {
+        for (metric, higher_is_better) in [rate_metric, ("realloc_ns_per_op", false)] {
             if let (Some(bv), Some(fv)) = (get_f(b, metric), get_f(f, metric)) {
                 failures.extend(check(
                     &format!("{point}.{metric}"),

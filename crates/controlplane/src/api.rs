@@ -57,6 +57,17 @@ pub struct ControllerCtx<'a> {
     pub now: SimTime,
 }
 
+/// Deterministic work counters a controller reports with the run's
+/// results.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ControllerCounters {
+    /// Path-database builds (construction and topology changes).
+    pub pathdb_rebuilds: u64,
+    /// Topology changes that left every link as the current path
+    /// database saw it, so no rebuild ran.
+    pub pathdb_rebuilds_skipped: u64,
+}
+
 /// An SDN controller. All callbacks are optional except flow-in, which is
 /// the reactive heart of the control plane.
 pub trait Controller {
@@ -116,6 +127,11 @@ pub trait Controller {
     /// nothing. (Port-status callbacks for its restored cables arrive
     /// separately; this hook is for the table/group/meter contents.)
     fn on_switch_up(&mut self, _switch: NodeId, _ctx: &ControllerCtx<'_>, _out: &mut Outbox) {}
+
+    /// The controller's work counters (all zero unless overridden).
+    fn counters(&self) -> ControllerCounters {
+        ControllerCounters::default()
+    }
 
     /// Serializes the controller's mutable state for a checkpoint.
     ///

@@ -12,9 +12,14 @@
 //!   and re-installs all modules — failed links disappear from paths, so
 //!   replacement rules route around them (the paper's "reaction of the
 //!   controller to specific network events");
+//! * every reinstall sends the full rule set with
+//!   [`FlowModCommand::Reconcile`], so switches leave the rules they
+//!   already hold untouched and only the difference changes state; the
+//!   path database is rebuilt only when some link changed state since
+//!   the last build;
 //! * `on_stats` / `on_timer` feed the adaptive load balancer.
 
-use crate::api::{Controller, ControllerCtx, Outbox};
+use crate::api::{Controller, ControllerCounters, ControllerCtx, Outbox};
 use crate::modules::{
     AppPeeringModule, BlackholeModule, CompileCtx, LoadBalanceModule, MacForwardingModule,
     MacLearningModule, PolicyModule, RateLimitModule, SourceRoutingModule,
@@ -47,6 +52,8 @@ pub struct PolicyGenerator {
     pub unhandled_flow_ins: u64,
     /// Messages emitted (all callbacks).
     pub msgs_emitted: u64,
+    /// Path-database builds and skipped rebuilds.
+    counters: ControllerCounters,
 }
 
 impl PolicyGenerator {
@@ -136,6 +143,10 @@ impl PolicyGenerator {
             flow_ins: 0,
             unhandled_flow_ins: 0,
             msgs_emitted: 0,
+            counters: ControllerCounters {
+                pathdb_rebuilds: 1,
+                pathdb_rebuilds_skipped: 0,
+            },
         })
     }
 
@@ -195,7 +206,22 @@ impl PolicyGenerator {
         }
     }
 
+    /// Rebuilds the path database unless every link is in the state
+    /// the current one was built from.
+    fn refresh_paths(&mut self, topo: &Topology) {
+        if self.paths.is_current(topo) {
+            self.counters.pathdb_rebuilds_skipped += 1;
+        } else {
+            self.paths = PathDb::build(topo);
+            self.counters.pathdb_rebuilds += 1;
+        }
+    }
+
+    /// Sends the whole proactive rule set (plumbing + every module's
+    /// rules) as reconcile flow-mods: a switch keeps each rule it
+    /// already holds identically, so only what changed is written.
     fn reinstall(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
+        let before = out.msgs.len();
         self.install_plumbing(ctx.topo, out);
         let cctx = CompileCtx {
             topo: ctx.topo,
@@ -204,6 +230,13 @@ impl PolicyGenerator {
         };
         for m in self.modules.iter_mut() {
             m.install(&cctx, out);
+        }
+        for (_, msg) in &mut out.msgs[before..] {
+            if let CtrlMsg::FlowMod(fm) = msg {
+                if fm.command == FlowModCommand::Add {
+                    fm.command = FlowModCommand::Reconcile;
+                }
+            }
         }
     }
 }
@@ -214,7 +247,7 @@ impl Controller for PolicyGenerator {
     }
 
     fn on_start(&mut self, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
-        self.paths = PathDb::build(ctx.topo);
+        self.refresh_paths(ctx.topo);
         self.reinstall(ctx, out);
         self.msgs_emitted += out.msgs.len() as u64;
     }
@@ -257,7 +290,7 @@ impl Controller for PolicyGenerator {
     ) {
         // Topology in ctx already reflects the change; recompute paths and
         // re-install so forwarding routes around the failure.
-        self.paths = PathDb::build(ctx.topo);
+        self.refresh_paths(ctx.topo);
         let before = out.msgs.len();
         {
             let cctx = CompileCtx {
@@ -293,10 +326,10 @@ impl Controller for PolicyGenerator {
     }
 
     fn on_switch_up(&mut self, _switch: NodeId, ctx: &ControllerCtx<'_>, out: &mut Outbox) {
-        // The rejoined switch is empty; rules are idempotent overwrites,
-        // so rebuild paths against the restored topology and reinstall
-        // everywhere (surviving switches just re-apply identical state).
-        self.paths = PathDb::build(ctx.topo);
+        // The rejoined switch is empty; rebuild paths against the
+        // restored topology and reinstall everywhere (surviving switches
+        // already hold most of the rules and leave them untouched).
+        self.refresh_paths(ctx.topo);
         let before = out.msgs.len();
         self.reinstall(ctx, out);
         self.msgs_emitted += (out.msgs.len() - before) as u64;
@@ -317,6 +350,10 @@ impl Controller for PolicyGenerator {
         self.msgs_emitted += (out.msgs.len() - before) as u64;
     }
 
+    fn counters(&self) -> ControllerCounters {
+        self.counters
+    }
+
     fn snapshot_state(&self, w: &mut horse_types::SnapWriter) {
         // The path DB is serialized, not rebuilt: it may legitimately be
         // stale relative to the topology while a port-status callback is
@@ -325,7 +362,11 @@ impl Controller for PolicyGenerator {
         self.flow_ins.snap(w);
         self.unhandled_flow_ins.snap(w);
         self.msgs_emitted.snap(w);
-        w.len_prefix(self.modules.len());
+        self.counters.pathdb_rebuilds.snap(w);
+        self.counters.pathdb_rebuilds_skipped.snap(w);
+        // A plain count, not a length prefix: stateless modules write
+        // nothing after it, so it need not fit in the remaining bytes.
+        (self.modules.len() as u64).snap(w);
         for m in &self.modules {
             m.snapshot_state(w);
         }
@@ -339,8 +380,10 @@ impl Controller for PolicyGenerator {
         self.flow_ins = horse_types::Snap::unsnap(r)?;
         self.unhandled_flow_ins = horse_types::Snap::unsnap(r)?;
         self.msgs_emitted = horse_types::Snap::unsnap(r)?;
-        let n = r.len_prefix()?;
-        if n != self.modules.len() {
+        self.counters.pathdb_rebuilds = horse_types::Snap::unsnap(r)?;
+        self.counters.pathdb_rebuilds_skipped = horse_types::Snap::unsnap(r)?;
+        let n = u64::unsnap(r)?;
+        if n != self.modules.len() as u64 {
             return Err(horse_types::SnapError::new(
                 format!(
                     "snapshot has {n} policy modules, generator has {}",
@@ -491,6 +534,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reinstall_reconciles_and_reuses_unchanged_paths() {
+        let f = fig1_fabric();
+        let mut topo = f.topology.clone();
+        let mut gen =
+            PolicyGenerator::new(PolicySpec::new().with(PolicyRule::MacForwarding), &topo).unwrap();
+        let boot = gen.compile(&topo);
+        assert!(boot.msgs.iter().all(|(_, m)| {
+            matches!(m, CtrlMsg::FlowMod(fm) if fm.command == FlowModCommand::Reconcile)
+        }));
+        let counters = |gen: &PolicyGenerator| {
+            let c = gen.counters();
+            (c.pathdb_rebuilds, c.pathdb_rebuilds_skipped)
+        };
+        assert_eq!(
+            counters(&gen),
+            (1, 1),
+            "on_start reuses the paths built by new()"
+        );
+        let e1 = topo.node_by_name("e1").unwrap();
+        let (cable, link) = topo
+            .out_links(e1)
+            .next()
+            .map(|(l, k)| (l, k.clone()))
+            .unwrap();
+        topo.set_cable_state(cable, horse_topology::LinkState::Down)
+            .unwrap();
+        let ctx = ControllerCtx {
+            topo: &topo,
+            now: horse_types::SimTime::from_secs(1),
+        };
+        // Both ends of the cable report; only the first rebuilds.
+        let mut out = Outbox::new();
+        gen.on_port_status(e1, link.src_port, false, &ctx, &mut out);
+        gen.on_port_status(link.dst, link.dst_port, false, &ctx, &mut out);
+        assert_eq!(counters(&gen), (2, 2));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod pathdb;
 pub mod spec;
 pub mod validate;
 
-pub use api::{Controller, ControllerCtx, Outbox};
+pub use api::{Controller, ControllerCounters, ControllerCtx, Outbox};
 pub use generator::PolicyGenerator;
 pub use pathdb::PathDb;
 pub use spec::{LbMode, PolicyRule, PolicySpec};

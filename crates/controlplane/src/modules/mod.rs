@@ -47,8 +47,9 @@ pub trait PolicyModule {
     fn name(&self) -> &'static str;
 
     /// Emits the module's proactive rules. Must be idempotent: the
-    /// generator re-invokes it after topology changes and `FlowMod::Add`
-    /// replaces same-match-same-priority entries.
+    /// generator re-invokes it after topology changes and sends its
+    /// `FlowMod::Add`s as reconciles, which replace same-match-same-priority
+    /// entries that differ and leave identical ones alone.
     fn install(&mut self, ctx: &CompileCtx<'_>, out: &mut Outbox);
 
     /// Reactive hook. Returns `true` when this module handled the miss.

@@ -12,7 +12,7 @@
 //!   is reported as shadowed (warning).
 
 use crate::spec::{PolicyRule, PolicySpec};
-use horse_openflow::messages::{CtrlMsg, FlowModCommand};
+use horse_openflow::messages::CtrlMsg;
 use horse_topology::Topology;
 use horse_types::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -172,11 +172,11 @@ pub fn validate_spec(spec: &PolicySpec, topo: &Topology) -> ValidationReport {
 /// Rule-level validation over compiled messages (see module docs).
 pub fn validate_rules(msgs: &[(NodeId, CtrlMsg)]) -> ValidationReport {
     let mut rep = ValidationReport::default();
-    // Group FlowMod Adds by (switch, table).
+    // Group installing FlowMods (adds and reconciles) by (switch, table).
     let mut groups: HashMap<(NodeId, u8), Vec<&horse_openflow::table::FlowEntry>> = HashMap::new();
     for (sw, msg) in msgs {
         if let CtrlMsg::FlowMod(fm) = msg {
-            if fm.command == FlowModCommand::Add {
+            if fm.command.installs() {
                 groups.entry((*sw, fm.table.0)).or_default().push(&fm.entry);
             }
         }

@@ -39,12 +39,12 @@ pub enum SimEvent {
         /// When this `FlowIn` blocks a pending admission, its flow id.
         retry: Option<FlowId>,
     },
-    /// A controller→switch message crosses the control channel.
+    /// One controller reaction's messages cross the control channel
+    /// together: every message of the reaction's outbox, applied in
+    /// order (they share one send time and latency).
     ToSwitch {
-        /// Target switch.
-        switch: NodeId,
-        /// The message.
-        msg: Box<CtrlMsg>,
+        /// `(target switch, message)` in outbox order.
+        msgs: Vec<(NodeId, CtrlMsg)>,
     },
     /// A controller timer fires.
     ControllerTimer {
@@ -121,10 +121,9 @@ impl Snap for SimEvent {
                 msg.as_ref().snap(w);
                 retry.snap(w);
             }
-            SimEvent::ToSwitch { switch, msg } => {
+            SimEvent::ToSwitch { msgs } => {
                 w.u8(4);
-                switch.snap(w);
-                msg.as_ref().snap(w);
+                msgs.snap(w);
             }
             SimEvent::ControllerTimer { token } => {
                 w.u8(5);
@@ -189,8 +188,7 @@ impl Snap for SimEvent {
                 retry: Snap::unsnap(r)?,
             },
             4 => SimEvent::ToSwitch {
-                switch: Snap::unsnap(r)?,
-                msg: Box::new(Snap::unsnap(r)?),
+                msgs: Snap::unsnap(r)?,
             },
             5 => SimEvent::ControllerTimer {
                 token: Snap::unsnap(r)?,

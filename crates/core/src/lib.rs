@@ -63,7 +63,7 @@ pub use chaos::{ChaosError, ChaosSpec};
 pub use compare::{compare_planes, AccuracyReport};
 pub use config::SimConfig;
 pub use hybrid::HybridNet;
-pub use results::{ChaosCounters, SimResults};
+pub use results::{ChaosCounters, ControlCounters, SimResults};
 pub use scenario::{
     default_traffic_pattern, FabricScenarioParams, FidelityMode, IxpScenarioParams, LateEvent,
     Scenario,
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::chaos::{ChaosError, ChaosSpec};
     pub use crate::config::SimConfig;
     pub use crate::hybrid::HybridNet;
-    pub use crate::results::{ChaosCounters, SimResults};
+    pub use crate::results::{ChaosCounters, ControlCounters, SimResults};
     pub use crate::scenario::{
         default_traffic_pattern, FabricScenarioParams, FidelityMode, IxpScenarioParams, LateEvent,
         Scenario,

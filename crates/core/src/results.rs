@@ -50,6 +50,28 @@ horse_types::impl_snap_struct!(ChaosCounters {
     flows_stranded,
 });
 
+/// Deterministic control-plane churn: what the controller sent and
+/// what the switches did with it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ControlCounters {
+    /// Flow-mods the controller sent (bootstrap and every reaction).
+    pub flow_mods_emitted: u64,
+    /// Flow-mods that wrote a switch table (adds, deletes, and
+    /// reconciles whose rule was missing or different).
+    pub flow_mods_applied: u64,
+    /// Reconcile flow-mods whose rule was already installed identically
+    /// and so was left untouched.
+    pub flow_mods_unchanged: u64,
+    /// Group adds skipped because the group was already installed
+    /// identically.
+    pub group_mods_skipped: u64,
+    /// Path-database builds by the controller.
+    pub pathdb_rebuilds: u64,
+    /// Topology changes that left every link as the current path
+    /// database saw it, so the rebuild was skipped.
+    pub pathdb_rebuilds_skipped: u64,
+}
+
 /// Everything a run produced. The benchmark harness prints tables from
 /// this; EXPERIMENTS.md records them.
 #[derive(Debug)]
@@ -130,6 +152,8 @@ pub struct SimResults {
     pub recovery: Summary,
     /// Fault-injection counters (all zero in a fault-free run).
     pub chaos: ChaosCounters,
+    /// Control-plane churn counters.
+    pub control: ControlCounters,
     /// Event-queue statistics (scheduling volume, tombstone overhead,
     /// heap compactions) — all deterministic counts.
     pub queue: QueueStats,
@@ -217,6 +241,7 @@ impl SimResults {
              bytes dropped     {:>12.3e}\n\
              FCT p50/p95/p99   {:.4}s / {:.4}s / {:.4}s\n\
              ctrl msgs up/down {:>6} / {:<6} (flow-ins {})\n\
+             flow-mods         {:>12}   (applied {}, unchanged {}; PathDb builds {}, skipped {})\n\
              epochs            {:>12}   (mean batch {:.2}, max {})\n\
              realloc runs      {:>12}   (flows touched {}, saved {})\n\
              alloc vars        {:>12}   (warm hits {}, cold solves {})\n\
@@ -238,6 +263,11 @@ impl SimResults {
             self.msgs_to_controller,
             self.msgs_to_switch,
             self.flow_ins,
+            self.control.flow_mods_emitted,
+            self.control.flow_mods_applied,
+            self.control.flow_mods_unchanged,
+            self.control.pathdb_rebuilds,
+            self.control.pathdb_rebuilds_skipped,
             self.epochs,
             self.mean_epoch_batch(),
             self.max_epoch_batch,
@@ -292,6 +322,7 @@ mod tests {
             pkt_cache_invalidations: 0,
             recovery: Summary::default(),
             chaos: ChaosCounters::default(),
+            control: ControlCounters::default(),
             queue: QueueStats::default(),
             metrics: MetricsSnapshot::default(),
             collector: StatsCollector::new(),

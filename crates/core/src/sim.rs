@@ -26,7 +26,7 @@ use crate::chaos::{self, ChaosError};
 use crate::config::SimConfig;
 use crate::event::SimEvent;
 use crate::hybrid::{pkt_flow_spec, HybridNet};
-use crate::results::{ChaosCounters, SimResults};
+use crate::results::{ChaosCounters, ControlCounters, SimResults};
 use crate::scenario::{LateEvent, Scenario};
 use crate::trace::{event_fingerprint, SimTracer};
 use horse_controlplane::{Controller, ControllerCtx, Outbox, PolicyGenerator};
@@ -35,7 +35,7 @@ use horse_dataplane::{AdmitOutcome, DemandModel, Fidelity, FlowSpec, FluidNet, R
 use horse_events::{EventQueue, QueueSnapshot};
 use horse_monitoring::collector::StatsCollector;
 use horse_monitoring::series::summarize;
-use horse_openflow::messages::SwitchMsg;
+use horse_openflow::messages::{CtrlMsg, SwitchMsg};
 use horse_packetsim::PktEvent;
 use horse_types::{
     ByteSize, FlowId, NodeId, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter,
@@ -82,7 +82,7 @@ impl std::error::Error for BuildError {}
 /// Magic prefix of the checkpoint format.
 pub const SNAPSHOT_MAGIC: &[u8; 9] = b"HORSESNAP";
 /// Current checkpoint format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Errors raised while resuming or forking from a checkpoint.
 #[derive(Debug)]
@@ -249,6 +249,8 @@ pub struct Simulation {
     msgs_to_controller: u64,
     msgs_to_switch: u64,
     flow_ins: u64,
+    /// Flow-mods the controller sent (bootstrap and reactions).
+    flow_mods_emitted: u64,
 }
 
 struct WorkloadAdapter {
@@ -311,6 +313,13 @@ impl WorkloadAdapter {
             ));
         }
     }
+}
+
+/// Flow-mods among a controller's messages.
+fn count_flow_mods(msgs: &[(NodeId, CtrlMsg)]) -> u64 {
+    msgs.iter()
+        .filter(|(_, m)| matches!(m, CtrlMsg::FlowMod(_)))
+        .count() as u64
 }
 
 impl Simulation {
@@ -435,6 +444,7 @@ impl Simulation {
             msgs_to_controller: 0,
             msgs_to_switch: 0,
             flow_ins: 0,
+            flow_mods_emitted: 0,
         })
     }
 
@@ -575,6 +585,7 @@ impl Simulation {
             };
             self.controller.on_start(&ctx, &mut out);
         }
+        self.flow_mods_emitted += count_flow_mods(&out.msgs);
         for (sw, msg) in out.msgs.drain(..) {
             self.msgs_to_switch += 1;
             let replies = self.fluid.apply_ctrl(sw, &msg, SimTime::ZERO);
@@ -826,14 +837,16 @@ impl Simulation {
         out
     }
 
+    /// Sends a controller reaction: its messages cross the channel as
+    /// one event (they would occupy consecutive sequence numbers at one
+    /// timestamp anyway, so nothing can land between them), then its
+    /// timers are armed.
     fn flush_outbox(&mut self, now: SimTime, out: Outbox) {
-        for (sw, msg) in out.msgs {
+        if !out.msgs.is_empty() {
+            self.flow_mods_emitted += count_flow_mods(&out.msgs);
             self.queue.schedule_at(
                 now + self.ctrl_latency(),
-                SimEvent::ToSwitch {
-                    switch: sw,
-                    msg: Box::new(msg),
-                },
+                SimEvent::ToSwitch { msgs: out.msgs },
             );
         }
         for (delay, token) in out.timers {
@@ -918,21 +931,24 @@ impl Simulation {
                     self.deliver_to_controller(now, &msg, retry);
                 }
             }
-            SimEvent::ToSwitch { switch, msg } => {
-                // A stats request served here reads switch port/entry
-                // counters that the reallocation's byte sync credits — an
-                // adaptive controller polling in the same epoch as a rate
-                // change must see the same counters the per-event cadence
-                // produced. Flow/group/meter mods are pure writes, so
-                // only stats reads pay the flush (keeping FlowMod bursts
-                // batched, the common reactive-setup shape).
-                if matches!(&*msg, horse_openflow::messages::CtrlMsg::StatsRequest(_)) {
-                    self.flush_realloc(now);
-                }
-                self.msgs_to_switch += 1;
-                let replies = self.fluid.apply_ctrl(switch, &msg, now);
-                for r in replies {
-                    self.schedule_to_controller(now, r, None);
+            SimEvent::ToSwitch { msgs } => {
+                for (switch, msg) in &msgs {
+                    // A stats request served here reads switch port/entry
+                    // counters that the reallocation's byte sync credits —
+                    // an adaptive controller polling in the same epoch as
+                    // a rate change must see the same counters the
+                    // per-event cadence produced. Flow/group/meter mods
+                    // are pure writes, so only stats reads pay the flush
+                    // (keeping FlowMod bursts batched, the common
+                    // reactive-setup shape).
+                    if matches!(msg, CtrlMsg::StatsRequest(_)) {
+                        self.flush_realloc(now);
+                    }
+                    self.msgs_to_switch += 1;
+                    let replies = self.fluid.apply_ctrl(*switch, msg, now);
+                    for r in replies {
+                        self.schedule_to_controller(now, r, None);
+                    }
                 }
             }
             SimEvent::ControllerTimer { token } => {
@@ -1260,6 +1276,7 @@ impl Simulation {
         self.msgs_to_controller.snap(w);
         self.msgs_to_switch.snap(w);
         self.flow_ins.snap(w);
+        self.flow_mods_emitted.snap(w);
         let cont = self
             .tracer
             .as_ref()
@@ -1346,6 +1363,7 @@ impl Simulation {
         self.msgs_to_controller = Snap::unsnap(r)?;
         self.msgs_to_switch = Snap::unsnap(r)?;
         self.flow_ins = Snap::unsnap(r)?;
+        self.flow_mods_emitted = Snap::unsnap(r)?;
         self.journal_cont = Snap::unsnap(r)?;
         self.metrics_cont = Snap::unsnap(r)?;
         self.realloc_buf.clear();
@@ -1380,6 +1398,24 @@ impl Simulation {
             pkt_cache_invalidations = p.cache_invalidations();
         }
         let queue_stats = self.queue.stats();
+        let mods = self
+            .fluid
+            .switch_ids()
+            .iter()
+            .filter_map(|&sw| self.fluid.switch(sw))
+            .fold(horse_openflow::ModCounters::default(), |mut acc, s| {
+                acc += s.mod_counters();
+                acc
+            });
+        let ctrl = self.controller.counters();
+        let control = ControlCounters {
+            flow_mods_emitted: self.flow_mods_emitted,
+            flow_mods_applied: mods.flow_mods_applied,
+            flow_mods_unchanged: mods.flow_mods_unchanged,
+            group_mods_skipped: mods.group_mods_skipped,
+            pathdb_rebuilds: ctrl.pathdb_rebuilds,
+            pathdb_rebuilds_skipped: ctrl.pathdb_rebuilds_skipped,
+        };
         // End-of-run scrape: totals that are kept as plain fields on
         // their subsystems (no hot-path cost) land in the registry here,
         // so one snapshot carries them all. Every scraped quantity is
@@ -1451,6 +1487,15 @@ impl Simulation {
                     ("chaos.ctrl_msgs_buffered", c.ctrl_msgs_buffered),
                     ("chaos.flows_rerouted", c.flows_rerouted),
                     ("chaos.flows_stranded", c.flows_stranded),
+                    ("control.flow_mods_emitted", control.flow_mods_emitted),
+                    ("control.flow_mods_applied", control.flow_mods_applied),
+                    ("control.flow_mods_unchanged", control.flow_mods_unchanged),
+                    ("control.group_mods_skipped", control.group_mods_skipped),
+                    ("control.pathdb_rebuilds", control.pathdb_rebuilds),
+                    (
+                        "control.pathdb_rebuilds_skipped",
+                        control.pathdb_rebuilds_skipped,
+                    ),
                 ] {
                     reg.counter(name).add(v);
                 }
@@ -1491,6 +1536,7 @@ impl Simulation {
             pkt_cache_invalidations,
             recovery,
             chaos: self.chaos_ctr.clone(),
+            control,
             queue: queue_stats,
             metrics,
             collector: std::mem::take(&mut self.collector),

@@ -51,7 +51,7 @@ pub fn event_fingerprint(ev: &SimEvent) -> (&'static str, u64) {
             "to_controller",
             retry.map(|id| id.index() as u64 + 1).unwrap_or(0),
         ),
-        SimEvent::ToSwitch { switch, .. } => ("to_switch", switch.index() as u64),
+        SimEvent::ToSwitch { msgs } => ("to_switch", msgs.len() as u64),
         SimEvent::ControllerTimer { token } => ("controller_timer", *token),
         SimEvent::CableDown(l) => ("cable_down", l.index() as u64),
         SimEvent::CableUp(l) => ("cable_up", l.index() as u64),

@@ -1930,12 +1930,23 @@ impl FluidNet {
         (specs, msgs, ids)
     }
 
-    /// Rejoins a crashed switch with empty tables: incident cables are
-    /// restored (except those whose peer is itself still crashed) and
-    /// port-status messages are generated from *both* sides of each
-    /// restored cable. The controller re-learns the switch through these
-    /// messages and reinstalls state; until then traffic through it
-    /// table-misses like any unknown switch.
+    /// Rejoins a crashed switch: incident cables are restored (except
+    /// those whose peer is itself still crashed) and port-status messages
+    /// are generated from *both* sides of each restored cable. The
+    /// controller re-learns the switch through these messages and
+    /// reinstalls state.
+    ///
+    /// The rejoined tables are not necessarily empty. The crash wiped
+    /// them, but controller messages still reach a crashed switch, and a
+    /// policy generator reacting to the neighbours' port-status reports
+    /// during the downtime re-adds its table-0 plumbing there (the
+    /// crashed switch has no paths, so no forwarding rules). Under a
+    /// proactive policy the switch therefore rejoins with a table-0
+    /// fall-through into an empty table 1 and drops traffic as
+    /// [`DropReason::Policy`] — not a table miss to the controller — until
+    /// the rules of the controller's rejoin reaction land; under a
+    /// reactive policy the plumbing includes the table-1 miss entry, so
+    /// traffic reaches the controller as usual.
     pub fn switch_up(&mut self, node: NodeId, _now: SimTime) -> Vec<SwitchMsg> {
         if !self.crashed.remove(&node) {
             return Vec::new();

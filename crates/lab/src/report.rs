@@ -130,6 +130,12 @@ impl CampaignReport {
             "ctrl_outages",
             "ctrl_latency_spikes",
             "ctrl_msgs_buffered",
+            "flow_mods_emitted",
+            "flow_mods_applied",
+            "flow_mods_unchanged",
+            "group_mods_skipped",
+            "pathdb_rebuilds",
+            "pathdb_rebuilds_skipped",
         ]);
         let rows: Vec<Vec<String>> = self
             .runs
@@ -184,6 +190,12 @@ impl CampaignReport {
                     m.chaos.ctrl_outages.to_string(),
                     m.chaos.ctrl_latency_spikes.to_string(),
                     m.chaos.ctrl_msgs_buffered.to_string(),
+                    m.control.flow_mods_emitted.to_string(),
+                    m.control.flow_mods_applied.to_string(),
+                    m.control.flow_mods_unchanged.to_string(),
+                    m.control.group_mods_skipped.to_string(),
+                    m.control.pathdb_rebuilds.to_string(),
+                    m.control.pathdb_rebuilds_skipped.to_string(),
                 ]);
                 row
             })

@@ -106,6 +106,10 @@ pub struct RunMetrics {
     /// Fault-injection counters (all zero in a fault-free run).
     #[serde(default)]
     pub chaos: ChaosCounters,
+    /// Control-plane churn counters (flow-mods emitted, applied and
+    /// left untouched; skipped group adds; path-database builds).
+    #[serde(default)]
+    pub control: ControlCounters,
     /// The run's metrics-registry snapshot (allocator, queue, OpenFlow,
     /// hybrid and utilization counters). Deterministic quantities only —
     /// part of the reproducible report.
@@ -152,6 +156,7 @@ impl RunMetrics {
             queue_tombstones: r.queue.cancelled,
             recovery: r.recovery,
             chaos: r.chaos.clone(),
+            control: r.control,
             metrics: r.metrics.clone(),
         }
     }

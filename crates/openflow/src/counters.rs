@@ -48,6 +48,35 @@ impl FlowCounters {
     }
 }
 
+/// What a switch did with the controller's modifications: the
+/// control-plane churn that reached it. Like the port counters these
+/// model the observer's accounting, so a crash does not clear them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ModCounters {
+    /// Flow-mods applied to a table (every add and delete, and every
+    /// reconcile that found its rule missing or different).
+    pub flow_mods_applied: u64,
+    /// Reconcile flow-mods whose rule was already installed identically.
+    pub flow_mods_unchanged: u64,
+    /// Group adds skipped because the group was already installed
+    /// identically (groups hold no state, so skipping is exact).
+    pub group_mods_skipped: u64,
+}
+
+horse_types::impl_snap_struct!(ModCounters {
+    flow_mods_applied,
+    flow_mods_unchanged,
+    group_mods_skipped,
+});
+
+impl std::ops::AddAssign for ModCounters {
+    fn add_assign(&mut self, o: ModCounters) {
+        self.flow_mods_applied += o.flow_mods_applied;
+        self.flow_mods_unchanged += o.flow_mods_unchanged;
+        self.group_mods_skipped += o.group_mods_skipped;
+    }
+}
+
 /// Per-port counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PortCounters {

@@ -38,7 +38,7 @@ pub mod switch;
 pub mod table;
 
 pub use actions::{Action, Instruction};
-pub use counters::{FlowCounters, PortCounters, TableCounters};
+pub use counters::{FlowCounters, ModCounters, PortCounters, TableCounters};
 pub use flow_match::FlowMatch;
 pub use group::{Bucket, GroupEntry, GroupType};
 pub use messages::{

@@ -24,6 +24,20 @@ pub enum FlowModCommand {
         /// Exact match+priority only.
         strict: bool,
     },
+    /// Install like [`FlowModCommand::Add`], except that an entry already
+    /// installed identically (same match, priority, instructions, cookie,
+    /// timeouts and removal flag) is left untouched: its counters keep
+    /// running and the switch generation does not move. A controller
+    /// re-sending its whole rule set uses this, so only rules that differ
+    /// from the switch's actual tables change anything.
+    Reconcile,
+}
+
+impl FlowModCommand {
+    /// True for the commands that install their entry.
+    pub fn installs(self) -> bool {
+        matches!(self, FlowModCommand::Add | FlowModCommand::Reconcile)
+    }
 }
 
 /// A flow-table modification.

@@ -13,6 +13,7 @@
 //! deployments.
 
 use crate::actions::{Action, Instruction};
+use crate::counters::ModCounters;
 use crate::flow_match::FlowMatch;
 use crate::group::GroupEntry;
 use crate::messages::{
@@ -99,6 +100,12 @@ pub struct OpenFlowSwitch {
     ///
     /// [`classify`]: OpenFlowSwitch::classify
     gen: u64,
+    /// What the controller's modifications did here.
+    mods: ModCounters,
+    /// Per-table reconcile cursor (see [`FlowTable::reconcile`]). A pure
+    /// lookup accelerator: never snapshotted, and a stale cursor only
+    /// costs a scan.
+    reconcile_hint: Vec<usize>,
 }
 
 impl OpenFlowSwitch {
@@ -117,7 +124,14 @@ impl OpenFlowSwitch {
             miss_behavior: MissBehavior::ToController,
             max_table_jumps: 8,
             gen: 0,
+            mods: ModCounters::default(),
+            reconcile_hint: vec![0; num_tables.max(1)],
         }
+    }
+
+    /// What the controller's modifications did at this switch.
+    pub fn mod_counters(&self) -> ModCounters {
+        self.mods
     }
 
     /// The current forwarding-state generation. A [`PipelineResult`]
@@ -140,6 +154,11 @@ impl OpenFlowSwitch {
     /// Read access to a group.
     pub fn group(&self, g: GroupId) -> Option<&GroupEntry> {
         self.groups.get(&g)
+    }
+
+    /// Every installed group, ascending by id.
+    pub fn groups(&self) -> impl Iterator<Item = &GroupEntry> {
+        self.groups.values()
     }
 
     /// Mutable access to a meter (packet plane consumes tokens).
@@ -463,33 +482,50 @@ impl OpenFlowSwitch {
     /// Applies a controller message, returning any immediate replies
     /// (stats, barrier, flow-removed notifications from deletes).
     pub fn apply(&mut self, msg: &CtrlMsg, now: SimTime) -> Vec<SwitchMsg> {
-        // Any table/group/meter mutation can change future classifications;
-        // stamp a new generation before applying (stats/barrier are
-        // read-only and leave cached decisions valid).
-        if matches!(
-            msg,
-            CtrlMsg::FlowMod(_) | CtrlMsg::GroupMod(_) | CtrlMsg::MeterMod(_)
-        ) {
+        // Any table/group/meter mutation can change future classifications
+        // and stamps a new generation; stats/barrier are read-only, and a
+        // modification that finds its state already in place changes
+        // nothing, so both leave cached decisions valid.
+        let (mutated, replies) = self.apply_mod(msg, now);
+        if mutated {
             self.gen = self.gen.wrapping_add(1);
         }
+        replies
+    }
+
+    /// [`OpenFlowSwitch::apply`] without the generation stamp: returns
+    /// whether forwarding state may have changed, and the replies.
+    fn apply_mod(&mut self, msg: &CtrlMsg, now: SimTime) -> (bool, Vec<SwitchMsg>) {
         match msg {
             CtrlMsg::FlowMod(fm) => {
                 let t = fm.table.0 as usize;
                 if t >= self.tables.len() {
-                    return vec![];
+                    return (true, vec![]);
                 }
                 match fm.command {
                     FlowModCommand::Add => {
+                        self.mods.flow_mods_applied += 1;
                         self.tables[t].insert(fm.entry.clone(), now);
-                        vec![]
+                        (true, vec![])
+                    }
+                    FlowModCommand::Reconcile => {
+                        let hint = &mut self.reconcile_hint[t];
+                        let changed = self.tables[t].reconcile(&fm.entry, now, hint);
+                        if changed {
+                            self.mods.flow_mods_applied += 1;
+                        } else {
+                            self.mods.flow_mods_unchanged += 1;
+                        }
+                        (changed, vec![])
                     }
                     FlowModCommand::Delete { strict } => {
+                        self.mods.flow_mods_applied += 1;
                         let removed = self.tables[t].delete(
                             &fm.entry.matcher,
                             Some(fm.entry.priority),
                             strict,
                         );
-                        removed
+                        let replies = removed
                             .into_iter()
                             .filter(|e| e.notify_removal)
                             .map(|e| SwitchMsg::FlowRemoved {
@@ -502,20 +538,25 @@ impl OpenFlowSwitch {
                                 packets: e.counters.packets,
                                 bytes: e.counters.bytes,
                             })
-                            .collect()
+                            .collect();
+                        (true, replies)
                     }
                 }
             }
             CtrlMsg::GroupMod(gm) => {
                 match gm {
                     GroupMod::Add(g) => {
+                        if self.groups.get(&g.id) == Some(g) {
+                            self.mods.group_mods_skipped += 1;
+                            return (false, vec![]);
+                        }
                         self.groups.insert(g.id, g.clone());
                     }
                     GroupMod::Delete(id) => {
                         self.groups.remove(id);
                     }
                 }
-                vec![]
+                (true, vec![])
             }
             CtrlMsg::MeterMod(mm) => {
                 match mm {
@@ -528,13 +569,16 @@ impl OpenFlowSwitch {
                         self.meters.remove(id);
                     }
                 }
-                vec![]
+                (true, vec![])
             }
-            CtrlMsg::StatsRequest(req) => vec![SwitchMsg::StatsReply {
-                switch: self.id,
-                reply: self.stats(*req),
-            }],
-            CtrlMsg::Barrier => vec![SwitchMsg::BarrierReply { switch: self.id }],
+            CtrlMsg::StatsRequest(req) => (
+                false,
+                vec![SwitchMsg::StatsReply {
+                    switch: self.id,
+                    reply: self.stats(*req),
+                }],
+            ),
+            CtrlMsg::Barrier => (false, vec![SwitchMsg::BarrierReply { switch: self.id }]),
         }
     }
 
@@ -623,8 +667,8 @@ impl OpenFlowSwitch {
 
     /// Serializes every piece of mutable switch state — tables (entries
     /// and counters), groups, meters (including token levels), port
-    /// up/down state, port counters, miss behavior and the jump budget —
-    /// in canonical order (groups/meters via their `BTreeMap`s, port maps
+    /// up/down state, port counters, miss behavior, the jump budget, the
+    /// generation and the modification counters — in canonical order (groups/meters via their `BTreeMap`s, port maps
     /// key-sorted). The identity (`id`) is not included: it is re-derived
     /// from the topology on restore and used as a cross-check.
     pub fn snapshot_state(&self, w: &mut SnapWriter) {
@@ -656,6 +700,7 @@ impl OpenFlowSwitch {
         });
         self.max_table_jumps.snap(w);
         self.gen.snap(w);
+        self.mods.snap(w);
     }
 
     /// Restores state captured by [`OpenFlowSwitch::snapshot_state`],
@@ -694,6 +739,8 @@ impl OpenFlowSwitch {
         };
         let max_table_jumps = usize::unsnap(r)?;
         let gen = u64::unsnap(r)?;
+        let mods = ModCounters::unsnap(r)?;
+        self.reconcile_hint = vec![0; tables.len()];
         self.tables = tables;
         self.groups = groups;
         self.meters = meters;
@@ -702,6 +749,7 @@ impl OpenFlowSwitch {
         self.miss_behavior = miss_behavior;
         self.max_table_jumps = max_table_jumps;
         self.gen = gen;
+        self.mods = mods;
         Ok(())
     }
 
@@ -1293,5 +1341,47 @@ mod tests {
         } else {
             panic!("expected port stats");
         }
+    }
+
+    #[test]
+    fn unchanged_reconcile_and_group_keep_generation_and_counters() {
+        let mut sw = switch(1);
+        let group = CtrlMsg::GroupMod(GroupMod::Add(GroupEntry {
+            id: GroupId(2),
+            group_type: GroupType::Select,
+            buckets: vec![Bucket::output(PortNo(2)), Bucket::output(PortNo(3))],
+        }));
+        let rule = |port: u16| {
+            let mut fm = FlowMod::add(FlowEntry::new(
+                10,
+                FlowMatch::ANY,
+                vec![Instruction::output(PortNo(port))],
+            ));
+            fm.command = FlowModCommand::Reconcile;
+            CtrlMsg::FlowMod(fm)
+        };
+        sw.apply(&group, SimTime::ZERO);
+        sw.apply(&rule(2), SimTime::ZERO);
+        sw.process(PortNo(1), &key(), SimTime::from_secs(1));
+        let g = sw.generation();
+        sw.apply(&group, SimTime::from_secs(2));
+        sw.apply(&rule(2), SimTime::from_secs(2));
+        assert_eq!(
+            sw.generation(),
+            g,
+            "nothing changed, cached decisions stay valid"
+        );
+        let e = sw.table(TableId(0)).unwrap().entries().next().unwrap();
+        assert_eq!(e.counters.packets, 1, "an untouched rule keeps counting");
+        sw.apply(&rule(3), SimTime::from_secs(3));
+        assert_ne!(sw.generation(), g, "a changed rule is applied");
+        assert_eq!(
+            sw.mod_counters(),
+            ModCounters {
+                flow_mods_applied: 2,
+                flow_mods_unchanged: 1,
+                group_mods_skipped: 1,
+            }
+        );
     }
 }

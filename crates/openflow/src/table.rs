@@ -77,6 +77,18 @@ impl FlowEntry {
         self
     }
 
+    /// True when `other` is the same rule: everything but the counters
+    /// is equal.
+    pub fn same_rule(&self, other: &FlowEntry) -> bool {
+        self.priority == other.priority
+            && self.matcher == other.matcher
+            && self.instructions == other.instructions
+            && self.cookie == other.cookie
+            && self.idle_timeout == other.idle_timeout
+            && self.hard_timeout == other.hard_timeout
+            && self.notify_removal == other.notify_removal
+    }
+
     fn expired_at(&self, now: SimTime) -> Option<RemovalReason> {
         if !self.hard_timeout.is_zero()
             && now.saturating_since(self.counters.created) >= self.hard_timeout
@@ -126,21 +138,56 @@ impl FlowTable {
     /// Installs an entry (stamping its creation time). An existing entry
     /// with identical match and priority is **replaced**, per OpenFlow
     /// `ADD` semantics; its counters are reset.
-    pub fn insert(&mut self, mut entry: FlowEntry, now: SimTime) {
-        entry.counters = FlowCounters::new(now);
-        if let Some(pos) = self
-            .entries
+    pub fn insert(&mut self, entry: FlowEntry, now: SimTime) {
+        let at = self.position_of(&entry);
+        self.place(at, entry, now);
+    }
+
+    /// Installs an entry unless the table already holds the same rule
+    /// ([`FlowEntry::same_rule`]), in which case nothing changes — not
+    /// even the counters. Returns whether the table changed.
+    ///
+    /// `hint` is a caller-kept cursor: the position right after the
+    /// entry the previous call found or placed. A caller re-sending a
+    /// table's rules in table order hits the cursor every time, so the
+    /// identity check costs one comparison instead of a scan.
+    pub fn reconcile(&mut self, entry: &FlowEntry, now: SimTime, hint: &mut usize) -> bool {
+        let at = match self.entries.get(*hint) {
+            Some(e) if e.priority == entry.priority && e.matcher == entry.matcher => Some(*hint),
+            _ => self.position_of(entry),
+        };
+        if let Some(pos) = at {
+            if self.entries[pos].same_rule(entry) {
+                *hint = pos + 1;
+                return false;
+            }
+        }
+        *hint = self.place(at, entry.clone(), now) + 1;
+        true
+    }
+
+    /// Position of the entry with `entry`'s match and priority, if any.
+    fn position_of(&self, entry: &FlowEntry) -> Option<usize> {
+        self.entries
             .iter()
             .position(|e| e.priority == entry.priority && e.matcher == entry.matcher)
-        {
+    }
+
+    /// Stores `entry` with fresh counters, replacing the entry at
+    /// `existing` or else inserting it after every entry of higher or
+    /// equal priority. Returns its position.
+    fn place(&mut self, existing: Option<usize>, mut entry: FlowEntry, now: SimTime) -> usize {
+        entry.counters = FlowCounters::new(now);
+        if let Some(pos) = existing {
             self.entries[pos] = entry;
-            return;
+            return pos;
         }
         // keep sorted by descending priority, stable for equal priorities
         let pos = self
             .entries
             .partition_point(|e| e.priority >= entry.priority);
         self.entries.insert(pos, entry);
+        pos
     }
 
     /// Highest-priority entry matching `(in_port, key)`; updates table
@@ -282,6 +329,61 @@ mod tests {
         assert_eq!(t.len(), 1);
         let e = t.peek(PortNo(1), &key()).unwrap();
         assert_eq!(e.instructions, vec![Instruction::output(PortNo(2))]);
+    }
+
+    #[test]
+    fn reconcile_leaves_identical_rules_alone() {
+        let mut t = FlowTable::new();
+        let mut hint = 0;
+        assert!(t.reconcile(&entry(10, FlowMatch::ANY, 1), SimTime::ZERO, &mut hint));
+        t.lookup(PortNo(1), &key(), SimTime::from_secs(1));
+        // identical: untouched, counters kept
+        assert!(!t.reconcile(
+            &entry(10, FlowMatch::ANY, 1),
+            SimTime::from_secs(2),
+            &mut hint
+        ));
+        let e = t.entries().next().unwrap();
+        assert_eq!((e.counters.packets, e.counters.created), (1, SimTime::ZERO));
+        // different instructions: replaced like Add, counters reset
+        assert!(t.reconcile(
+            &entry(10, FlowMatch::ANY, 2),
+            SimTime::from_secs(3),
+            &mut hint
+        ));
+        assert_eq!(t.len(), 1);
+        let e = t.entries().next().unwrap();
+        assert_eq!(e.instructions, vec![Instruction::output(PortNo(2))]);
+        assert_eq!(
+            (e.counters.packets, e.counters.created),
+            (0, SimTime::from_secs(3))
+        );
+    }
+
+    #[test]
+    fn reconcile_matches_add_whatever_the_hint() {
+        let rules: Vec<FlowEntry> = (0..6u16)
+            .map(|i| entry(10 + i % 3, FlowMatch::ANY.with_tp_dst(i), i))
+            .collect();
+        let mut added = FlowTable::new();
+        let mut reconciled = FlowTable::new();
+        for (round, hint0) in [(0usize, 0usize), (1, 4), (2, 99)] {
+            let mut hint = hint0;
+            for (i, r) in rules.iter().enumerate() {
+                let mut r = r.clone();
+                if round == 2 && i == 3 {
+                    r.cookie = 7; // one changed rule in the last round
+                }
+                added.insert(r.clone(), SimTime::ZERO);
+                reconciled.reconcile(&r, SimTime::ZERO, &mut hint);
+            }
+        }
+        let a: Vec<_> = added.entries().collect();
+        let b: Vec<_> = reconciled.entries().collect();
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(&b) {
+            assert!(x.same_rule(y), "{x:?} vs {y:?}");
+        }
     }
 
     #[test]

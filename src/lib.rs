@@ -15,9 +15,9 @@ pub use horse_core::{
     bisect, chaos, compare, config, event, hybrid, results, scenario, sim, trace,
 };
 pub use horse_core::{
-    compare_planes, AccuracyReport, ChaosCounters, ChaosError, ChaosSpec, FidelityMode, ForkSpec,
-    HybridNet, IxpScenarioParams, LateEvent, ResumeError, Scenario, SimConfig, SimResults,
-    SimTracer, Simulation,
+    compare_planes, AccuracyReport, ChaosCounters, ChaosError, ChaosSpec, ControlCounters,
+    FidelityMode, ForkSpec, HybridNet, IxpScenarioParams, LateEvent, ResumeError, Scenario,
+    SimConfig, SimResults, SimTracer, Simulation,
 };
 
 // Component crates under stable names (mirrors `horse_core`'s aliases).

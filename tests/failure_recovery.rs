@@ -135,3 +135,71 @@ fn controller_sees_port_status_and_reinstalls() {
         "controller must reinstall after the failure"
     );
 }
+
+/// Pins how a crashed switch rejoins under the policy generator. The
+/// crash wipes its tables, but the reinstall reacting to the neighbours'
+/// port-status reports during the downtime still reaches it and re-adds
+/// the table-0 plumbing (with no paths through a crashed switch, no
+/// forwarding rules). So a proactive policy's switch rejoins with a
+/// fall-through into an empty table 1 and drops traffic as `Policy`
+/// until the rejoin reaction's rules land one channel delay later; a
+/// reactive policy's plumbing includes the table-1 miss, so traffic goes
+/// to the controller.
+#[test]
+fn rejoined_switch_holds_plumbing_until_the_rejoin_reinstall_lands() {
+    use horse::openflow::{DropReason, Verdict};
+    use horse::types::TableId;
+    let latency = SimDuration::from_millis(10);
+    let (down_at, up_at) = (SimTime::from_secs(1), SimTime::from_secs(2));
+    for (rule, before) in [
+        (PolicyRule::MacForwarding, Verdict::Drop(DropReason::Policy)),
+        (PolicyRule::MacLearning, Verdict::ToController),
+    ] {
+        let fabric = two_core_fabric();
+        let core = fabric.cores[0];
+        let mut s = Scenario::bare(fabric.topology.clone(), SimTime::from_secs(3));
+        s.members = fabric.members.clone();
+        s.policy = PolicySpec::new().with(rule.clone());
+        let key = s
+            .flow_between(
+                fabric.members[0],
+                fabric.members[1],
+                AppClass::Https,
+                1_000,
+                None,
+                DemandModel::Greedy,
+            )
+            .unwrap()
+            .key;
+        let in_port = fabric
+            .topology
+            .out_links(core)
+            .find(|(_, l)| l.dst == fabric.edges[0])
+            .map(|(_, l)| l.src_port)
+            .unwrap();
+        let config = SimConfig::default().with_ctrl_latency(latency);
+        let mut sim = Simulation::new(s, config).expect("valid");
+        sim.schedule_switch_down(down_at, core);
+        sim.schedule_switch_up(up_at, core);
+        sim.run_until(up_at);
+        let sw = sim.fluid().switch(core).unwrap();
+        let table = |t: u8| sw.table(TableId(t)).unwrap();
+        assert_eq!(table(0).len(), 1, "{rule:?}: only the fall-through");
+        let miss_entries = usize::from(rule == PolicyRule::MacLearning);
+        assert_eq!(
+            table(1).len(),
+            miss_entries,
+            "{rule:?}: no forwarding rules"
+        );
+        assert_eq!(sw.classify(in_port, &key).verdict, before, "{rule:?}");
+
+        sim.run_until(up_at + latency);
+        let sw = sim.fluid().switch(core).unwrap();
+        if rule == PolicyRule::MacForwarding {
+            assert!(
+                matches!(sw.classify(in_port, &key).verdict, Verdict::Forward(_)),
+                "the rejoin reinstall restores forwarding"
+            );
+        }
+    }
+}
