@@ -2,9 +2,7 @@
 //! workload — the measured gap *is* the paper's headline trade-off.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use horse::compare::{compare_planes, materialize_workload};
-use horse::controlplane::PolicyGenerator;
-use horse::packetsim::engine::{PacketNet, PacketSimConfig};
+use horse::compare::{compare_planes, materialize_workload, packet_baseline};
 use horse::prelude::*;
 use std::hint::black_box;
 
@@ -40,35 +38,11 @@ fn bench_planes(c: &mut Criterion) {
         });
     });
 
+    let packet = packet_baseline(&scenario);
     group.bench_function("packet", |b| {
         b.iter(|| {
-            let mut controller = PolicyGenerator::new(scenario.policy.clone(), &scenario.topology)
-                .expect("valid policy");
-            let specs: Vec<_> = scenario
-                .explicit_flows
-                .iter()
-                .filter_map(|(at, f)| {
-                    use horse::packetsim::engine::PktFlowSpec;
-                    use horse::packetsim::source::{SourceKind, TcpState};
-                    let size = f.size?;
-                    let source = match f.demand {
-                        horse::dataplane::DemandModel::Greedy => SourceKind::Tcp(TcpState::new()),
-                        horse::dataplane::DemandModel::Cbr(r) => SourceKind::Cbr {
-                            rate_bps: r.as_bps(),
-                        },
-                    };
-                    Some(PktFlowSpec {
-                        key: f.key,
-                        src: f.src,
-                        dst: f.dst,
-                        size,
-                        start: *at,
-                        source,
-                    })
-                })
-                .collect();
-            let net = PacketNet::new(scenario.topology.clone(), PacketSimConfig::default());
-            black_box(net.run(&mut controller, specs, scenario.horizon))
+            let mut sim = Simulation::new(packet.clone(), SimConfig::default()).expect("valid");
+            black_box(sim.run())
         });
     });
     group.finish();

@@ -1,8 +1,9 @@
 //! Flow-level vs packet-level comparison (experiments E1/E3).
 //!
 //! [`compare_planes`] drives the *same* workload — the same topology, the
-//! same proactive policy, the same flow list — through the fluid plane and
-//! through [`horse_packetsim`], then reports:
+//! same proactive policy, the same flow list — through two simulations,
+//! one with every flow fluid and one with every flow at packet fidelity
+//! (the [`horse_packetsim`] mechanics), then reports:
 //!
 //! * wall-clock time and event counts of both planes (the paper's
 //!   "simulation time" axis — the speedup is Horse's raison d'être);
@@ -14,9 +15,10 @@
 //!
 //! ## Hybrid vs. this offline comparison
 //!
-//! This module runs the two engines **separately, one after the other**,
-//! over identical inputs — use it to *quantify the fluid abstraction's
-//! error* (accuracy sweeps, regression benches, the paper's E3 table).
+//! This module runs the two simulations **separately, one after the
+//! other**, over identical inputs — use it to *quantify the fluid
+//! abstraction's error* (accuracy sweeps, regression benches, the paper's
+//! E3 table).
 //! When you instead need packet-level answers for a handful of flows
 //! *inside* a large fluid scenario — their FCTs and losses under
 //! realistic background, at a fraction of the full packet-level cost —
@@ -30,10 +32,8 @@
 use crate::config::SimConfig;
 use crate::scenario::Scenario;
 use crate::sim::Simulation;
-use horse_controlplane::PolicyGenerator;
-use horse_dataplane::{DemandModel, FlowSpec};
+use horse_dataplane::{DemandModel, Fidelity};
 use horse_monitoring::series::{summarize, Summary};
-use horse_packetsim::engine::{PacketNet, PacketSimConfig, PktFlowSpec};
 use horse_types::{Rate, SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -99,6 +99,10 @@ impl AccuracyReport {
 /// Runs `scenario`'s explicit flows through both planes (the scenario's
 /// generated workload, if any, should be materialized into
 /// `explicit_flows` first — see [`Scenario`] and the bench harness).
+///
+/// Both sides are a [`Simulation`] under the caller's `config`: the fluid
+/// side runs the flows as given, the packet side runs
+/// [`packet_baseline`]`(scenario)`.
 pub fn compare_planes(scenario: &Scenario, config: SimConfig) -> AccuracyReport {
     // ---- fluid plane ----
     let mut fluid_scenario = scenario.clone();
@@ -109,19 +113,12 @@ pub fn compare_planes(scenario: &Scenario, config: SimConfig) -> AccuracyReport 
     let fluid_links = sim.fluid().link_stats().to_vec();
 
     // ---- packet plane ----
-    let mut controller =
-        PolicyGenerator::new(scenario.policy.clone(), &scenario.topology).expect("valid policy");
-    let pkt_cfg = PacketSimConfig {
-        ctrl_latency: config.ctrl_latency,
-        ..PacketSimConfig::default()
-    };
-    let specs: Vec<PktFlowSpec> = scenario
-        .explicit_flows
-        .iter()
-        .filter_map(|(at, f)| pkt_spec(f, *at))
-        .collect();
-    let net = PacketNet::new(scenario.topology.clone(), pkt_cfg);
-    let packet = net.run(&mut controller, specs, scenario.horizon);
+    let mut psim = Simulation::new(packet_baseline(scenario), config).expect("valid scenario");
+    psim.enable_hybrid(); // a flowless packet side still reports zero load
+    let packet = psim.run();
+    let hybrid = psim.hybrid().expect("hybrid attached above");
+    let packet_records = hybrid.pkt_records(scenario.horizon);
+    let packet_links = hybrid.plane().link_bytes();
 
     // ---- accuracy: FCT ----
     let mut fluid_fct: HashMap<u64, f64> = HashMap::new();
@@ -131,7 +128,7 @@ pub fn compare_planes(scenario: &Scenario, config: SimConfig) -> AccuracyReport 
         }
     }
     let mut errors = Vec::new();
-    for pr in &packet.records {
+    for pr in &packet_records {
         if !pr.completed {
             continue;
         }
@@ -144,16 +141,21 @@ pub fn compare_planes(scenario: &Scenario, config: SimConfig) -> AccuracyReport 
     }
 
     // ---- accuracy: link utilization (run-mean per directed link) ----
-    let duration = scenario.horizon.saturating_since(SimTime::ZERO);
-    let mut abs_errs = Vec::new();
-    for (lid, link) in scenario.topology.links() {
-        let secs = duration.as_secs_f64();
-        let fluid_util = if secs > 0.0 && !link.capacity.is_zero() {
-            (fluid_links[lid.index()].bytes * 8.0 / secs / link.capacity.as_bps()).clamp(0.0, 1.0)
+    let secs = scenario
+        .horizon
+        .saturating_since(SimTime::ZERO)
+        .as_secs_f64();
+    let mean_util = |bytes: f64, capacity: Rate| {
+        if secs > 0.0 && !capacity.is_zero() {
+            (bytes * 8.0 / secs / capacity.as_bps()).clamp(0.0, 1.0)
         } else {
             0.0
-        };
-        let pkt_util = packet.utilization(lid, link.capacity, duration);
+        }
+    };
+    let mut abs_errs = Vec::new();
+    for (lid, link) in scenario.topology.links() {
+        let fluid_util = mean_util(fluid_links[lid.index()].bytes, link.capacity);
+        let pkt_util = mean_util(packet_links[lid.index()], link.capacity);
         abs_errs.push((fluid_util - pkt_util).abs());
     }
     let util_mae = if abs_errs.is_empty() {
@@ -171,8 +173,7 @@ pub fn compare_planes(scenario: &Scenario, config: SimConfig) -> AccuracyReport 
     // `bytes_delivered` covers completed AND still-active flows, matching
     // the packet side which counts every delivered segment.
     let fluid_bytes: f64 = fluid.bytes_delivered;
-    let packet_bytes: f64 = packet
-        .records
+    let packet_bytes: f64 = packet_records
         .iter()
         .map(|r| r.bytes_delivered as f64)
         .sum();
@@ -195,10 +196,17 @@ pub fn compare_planes(scenario: &Scenario, config: SimConfig) -> AccuracyReport 
     }
 }
 
-/// Converts a fluid-plane spec to a packet-plane spec (sized flows only).
-/// Shared with the hybrid driver so both paths build identical sources.
-fn pkt_spec(f: &FlowSpec, at: SimTime) -> Option<PktFlowSpec> {
-    crate::hybrid::pkt_flow_spec(f, at)
+/// The packet-level baseline of `scenario`: its explicit sized flows, all
+/// at [`Fidelity::Packet`], with the generated workload and every
+/// open-ended flow (which has no packet-level source) dropped.
+pub fn packet_baseline(scenario: &Scenario) -> Scenario {
+    let mut s = scenario.clone();
+    s.workload = None;
+    s.explicit_flows.retain(|(_, f)| f.size.is_some());
+    for (_, f) in &mut s.explicit_flows {
+        f.fidelity = Fidelity::Packet;
+    }
+    s
 }
 
 /// Materializes `n` workload arrivals into a scenario's explicit flow list

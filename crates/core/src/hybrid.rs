@@ -54,7 +54,7 @@ use horse_packetsim::{
     TcpState,
 };
 use horse_types::{
-    FlowId, LinkId, NodeId, PortNo, SimTime, Snap, SnapError, SnapReader, SnapWriter,
+    FlowId, LinkId, NodeId, PortNo, SimDuration, SimTime, Snap, SnapError, SnapReader, SnapWriter,
 };
 
 /// Relative demand change (vs link capacity) below which a re-measured
@@ -141,12 +141,10 @@ pub struct HybridNet {
 
 impl HybridNet {
     /// Builds the packet half over a topology with `link_count` directed
-    /// links. Packet mechanics use the baseline defaults with the
-    /// simulation's control latency, so an all-packet hybrid run matches
-    /// the standalone `horse-packetsim` baseline verbatim.
+    /// links. Packet mechanics use the [`PacketSimConfig`] defaults with
+    /// the simulation's burst cap and decision-cache switch.
     pub fn new(link_count: usize, config: &SimConfig) -> Self {
         let pkt_cfg = PacketSimConfig {
-            ctrl_latency: config.ctrl_latency,
             burst: config.pkt_burst.max(1),
             decision_cache: config.pkt_decision_cache,
             ..PacketSimConfig::default()
@@ -231,13 +229,15 @@ impl HybridNet {
     /// Processes one packet-plane event against the shared
     /// topology/switch pipeline, scheduling follow-ups onto the shared
     /// queue and recording completions into the fluid plane's records.
+    /// Table-miss `FlowIn`s reach the controller after `ctrl_latency`, the
+    /// control channel's current one-way latency.
     pub fn handle_pkt(
         &mut self,
         now: SimTime,
         ev: PktEvent,
         fluid: &mut FluidNet,
         queue: &mut EventQueue<SimEvent>,
-        config: &SimConfig,
+        ctrl_latency: SimDuration,
     ) -> PktStep {
         self.pkt_events += 1;
         let mut step = PktStep::default();
@@ -265,7 +265,7 @@ impl HybridNet {
         }
         for msg in self.out.flow_ins.drain(..) {
             queue.schedule_at(
-                now + config.ctrl_latency,
+                now + ctrl_latency,
                 SimEvent::ToController {
                     msg: Box::new(msg),
                     retry: None,

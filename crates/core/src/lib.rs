@@ -42,8 +42,9 @@
 //! [`Controller`](horse_controlplane::Controller)
 //! implementation; control messages cross with configurable latency
 //! ([`SimConfig::ctrl_latency`]) instead of real OpenFlow connections.
-//! [`compare`] runs the same scenario through the packet-level baseline
-//! ([`horse_packetsim`]) to quantify the abstraction's accuracy.
+//! [`compare`] runs the same scenario again with every flow at packet
+//! fidelity (the [`horse_packetsim`] mechanics) to quantify the
+//! abstraction's accuracy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1107,12 +1107,13 @@ impl Simulation {
                 // must land before this packet event observes the link —
                 // the same order the per-event cadence produced.
                 self.flush_realloc(now);
+                let ctrl_latency = self.ctrl_latency();
                 let step = {
                     let h = self
                         .hybrid
                         .as_mut()
                         .expect("packet events only exist with the hybrid half");
-                    h.handle_pkt(now, ev, &mut self.fluid, &mut self.queue, &self.config)
+                    h.handle_pkt(now, ev, &mut self.fluid, &mut self.queue, ctrl_latency)
                 };
                 self.flows_completed += step.finished;
                 if step.needs_realloc {
@@ -1609,6 +1610,84 @@ mod tests {
             "fct {} must include setup latency",
             r.fct.p50
         );
+    }
+
+    #[test]
+    fn latency_spike_delays_packet_and_fluid_flow_ins_alike() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// Installs nothing; records when each flow's first `FlowIn`
+        /// reaches it, keyed by source port.
+        struct FirstFlowIn(Rc<RefCell<HashMap<u16, SimTime>>>);
+        impl Controller for FirstFlowIn {
+            fn name(&self) -> &str {
+                "first-flow-in"
+            }
+            fn on_flow_in(
+                &mut self,
+                _switch: NodeId,
+                _in_port: horse_types::PortNo,
+                key: &horse_types::FlowKey,
+                ctx: &ControllerCtx<'_>,
+                _out: &mut Outbox,
+            ) {
+                self.0.borrow_mut().entry(key.tp_src).or_insert(ctx.now);
+            }
+        }
+
+        let mut s = star_scenario(PolicySpec::new(), 2);
+        s.chaos = Some(crate::chaos::ChaosSpec {
+            seed: 5,
+            start_secs: 0.5,
+            ctrl_latency_spikes: 1,
+            ctrl_latency_factor: 10.0,
+            ctrl_spike_secs: 5.0,
+            ..Default::default()
+        });
+        let schedule = chaos::expand(s.chaos.as_ref().unwrap(), &s.topology, s.horizon).unwrap();
+        let spike_at = schedule
+            .iter()
+            .find(|(_, e)| matches!(e, SimEvent::CtrlLatency { factor } if *factor > 1.0))
+            .map(|(t, _)| *t)
+            .expect("one spike window");
+        // One fluid and one packet flow arrive inside the spike window.
+        let arrive = spike_at + SimDuration::from_millis(1);
+        for (sport, fidelity) in [(1000, Fidelity::Fluid), (2000, Fidelity::Packet)] {
+            let mut spec = s
+                .flow_between(
+                    s.members[0],
+                    s.members[1],
+                    AppClass::Http,
+                    sport,
+                    Some(ByteSize::kib(64)),
+                    DemandModel::Greedy,
+                )
+                .unwrap();
+            spec.fidelity = fidelity;
+            s.explicit_flows.push((arrive, spec));
+        }
+        let lat = SimDuration::from_millis(1);
+        let seen = Rc::new(RefCell::new(HashMap::new()));
+        let mut sim = Simulation::with_controller(
+            s,
+            SimConfig::default().with_ctrl_latency(lat),
+            Box::new(FirstFlowIn(seen.clone())),
+        )
+        .unwrap();
+        sim.run();
+        let seen = seen.borrow();
+        let spiked = 10.0 * lat.as_secs_f64();
+        for sport in [1000u16, 2000] {
+            let at = seen.get(&sport).expect("flow missed the empty table");
+            let delay = at.saturating_since(arrive).as_secs_f64();
+            // The packet flow's FlowIn also carries its first packet's
+            // serialization and propagation to the switch (~17 µs).
+            assert!(
+                delay >= spiked && delay < spiked + 1e-4,
+                "flow {sport}: FlowIn after {delay} s, spiked latency is {spiked} s"
+            );
+        }
     }
 
     #[test]

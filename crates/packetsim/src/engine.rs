@@ -8,30 +8,24 @@
 //! link may serialize, and emits follow-up events / controller messages /
 //! serializer busy-idle transitions into a [`PktOut`] buffer.
 //!
-//! Two drivers exist:
-//!
-//! * [`PacketNet`] — the standalone baseline (this file): owns its own
-//!   topology, switches and event loop; links drain at full capacity.
-//!   This is the reference the accuracy comparisons run against.
-//! * the hybrid co-simulation in `horse-core` — shares one event queue,
-//!   topology and switch pipeline with the fluid plane; links drain at
-//!   `capacity − fluid utilization`, and the busy/idle transitions feed
-//!   capacity reservations back into the fluid allocator.
+//! One driver exists: the simulation loop in `horse-core`. It shares one
+//! event queue, topology and switch pipeline with the fluid plane; links
+//! drain at `capacity − fluid utilization`, and the busy/idle transitions
+//! feed capacity reservations back into the fluid allocator. The
+//! packet-level baseline is that same loop with every flow at packet
+//! fidelity.
 
 use crate::source::SourceKind;
-use horse_controlplane::{Controller, ControllerCtx, Outbox};
-use horse_events::EventQueue;
-use horse_openflow::messages::{CtrlMsg, SwitchMsg};
+use horse_openflow::messages::SwitchMsg;
 use horse_openflow::switch::{OpenFlowSwitch, PipelineResult, Verdict};
 use horse_topology::Topology;
 use horse_types::id::MeterId;
 use horse_types::snap::{snap_via_serde, unsnap_via_serde};
 use horse_types::{
-    ByteSize, FlowKey, LinkId, NodeId, PortNo, Rate, SimDuration, SimTime, Snap, SnapError,
-    SnapReader, SnapWriter,
+    ByteSize, FlowKey, LinkId, NodeId, PortNo, SimDuration, SimTime, Snap, SnapError, SnapReader,
+    SnapWriter,
 };
 use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
 
 /// Packet-plane configuration.
 #[derive(Clone, Copy, Debug)]
@@ -42,8 +36,6 @@ pub struct PacketSimConfig {
     pub ack_pkt: u32,
     /// Per-port output buffer.
     pub buffer: ByteSize,
-    /// One-way control-channel latency.
-    pub ctrl_latency: SimDuration,
     /// Minimum retransmission timeout (seconds).
     pub rto_floor: f64,
     /// Maximum packets one burst event may model (GSO-style batching).
@@ -61,7 +53,6 @@ impl Default for PacketSimConfig {
             data_pkt: 1500,
             ack_pkt: 64,
             buffer: ByteSize::kib(256),
-            ctrl_latency: SimDuration::from_micros(500),
             rto_floor: 0.01,
             burst: 32,
             decision_cache: true,
@@ -110,34 +101,6 @@ impl PktFlowRecord {
     /// Flow completion time (seconds).
     pub fn fct_secs(&self) -> f64 {
         self.finished.saturating_since(self.started).as_secs_f64()
-    }
-}
-
-/// Aggregate results of a packet-level run.
-#[derive(Debug)]
-pub struct PacketResults {
-    /// Per-flow records (same order as the input specs).
-    pub records: Vec<PktFlowRecord>,
-    /// Bytes carried per directed link (indexed by link id).
-    pub link_bytes: Vec<f64>,
-    /// Queue (and policy/meter) drops per directed link.
-    pub drops: u64,
-    /// Events processed.
-    pub events: u64,
-    /// Wall-clock seconds.
-    pub wall_seconds: f64,
-    /// Final simulated time.
-    pub sim_time: SimTime,
-}
-
-impl PacketResults {
-    /// Mean utilization of a link over the run.
-    pub fn utilization(&self, link: LinkId, capacity: Rate, duration: SimDuration) -> f64 {
-        let secs = duration.as_secs_f64();
-        if secs <= 0.0 || capacity.is_zero() {
-            return 0.0;
-        }
-        (self.link_bytes[link.index()] * 8.0 / secs / capacity.as_bps()).clamp(0.0, 1.0)
     }
 }
 
@@ -350,9 +313,9 @@ impl Snap for PktEvent {
 }
 
 /// The per-link serialization-rate oracle: effective drain rate in bps
-/// for packets leaving on `link`. The standalone baseline answers with
-/// link capacity; the hybrid driver answers with
-/// `capacity − fluid utilization` (floored).
+/// for packets leaving on `link`. The simulation driver answers with
+/// `capacity − fluid utilization` (floored); with no fluid load that is
+/// the link capacity.
 pub type DrainFn<'a> = dyn Fn(LinkId) -> f64 + 'a;
 
 /// The drivable packet-mechanics core (see module docs). Owns queues,
@@ -519,7 +482,7 @@ impl PacketPlane {
     }
 
     /// The completion record of one flow (`finished` falls back to
-    /// `horizon` for incomplete flows, as in [`PacketResults`]).
+    /// `horizon` for incomplete flows).
     pub fn record(&self, index: usize, horizon: SimTime) -> PktFlowRecord {
         let f = &self.flows[index];
         PktFlowRecord {
@@ -1285,152 +1248,14 @@ impl PacketPlane {
     }
 }
 
-/// Standalone driver events: the packet mechanics plus the control-plane
-/// crossings the baseline models itself.
-#[derive(Debug)]
-enum Ev {
-    Pkt(PktEvent),
-    ToController(Box<SwitchMsg>),
-    ToSwitch { switch: NodeId, msg: Box<CtrlMsg> },
-}
-
-/// The standalone packet-level network simulator (see module docs).
-pub struct PacketNet {
-    topo: Topology,
-    switches: HashMap<NodeId, OpenFlowSwitch>,
-    plane: PacketPlane,
-    config: PacketSimConfig,
-}
-
-impl PacketNet {
-    /// Builds the packet plane over a topology.
-    pub fn new(topo: Topology, config: PacketSimConfig) -> Self {
-        let mut switches = HashMap::new();
-        for (id, node) in topo.nodes() {
-            if node.kind.is_switch() {
-                let ports: Vec<_> = topo.ports(id).collect();
-                switches.insert(id, OpenFlowSwitch::new(id, 2, &ports));
-            }
-        }
-        let nl = topo.link_count();
-        PacketNet {
-            plane: PacketPlane::new(nl, config),
-            topo,
-            switches,
-            config,
-        }
-    }
-
-    /// Runs `specs` through the network under `controller` until `horizon`.
-    pub fn run(
-        mut self,
-        controller: &mut dyn Controller,
-        specs: Vec<PktFlowSpec>,
-        horizon: SimTime,
-    ) -> PacketResults {
-        let start_wall = Instant::now();
-        let mut q: EventQueue<Ev> = EventQueue::new();
-
-        // Controller bootstrap at t=0, synchronous (as in the fluid plane).
-        let mut out = Outbox::new();
-        {
-            let ctx = ControllerCtx {
-                topo: &self.topo,
-                now: SimTime::ZERO,
-            };
-            controller.on_start(&ctx, &mut out);
-        }
-        for (sw, msg) in out.msgs.drain(..) {
-            if let Some(s) = self.switches.get_mut(&sw) {
-                let _ = s.apply(&msg, SimTime::ZERO);
-            }
-        }
-
-        for spec in specs {
-            let start = spec.start;
-            let i = self.plane.add_flow(spec);
-            q.schedule_at(start, Ev::Pkt(PktEvent::Start(i)));
-        }
-
-        let mut events = 0u64;
-        let mut pkt_out = PktOut::default();
-        while let Some(t) = q.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let ev = q.pop().expect("peeked");
-            events += 1;
-            let now = ev.time;
-            match ev.event {
-                Ev::Pkt(p) => {
-                    // Baseline coupling: links drain at full capacity.
-                    let topo = &self.topo;
-                    let drain =
-                        |l: LinkId| topo.link(l).map(|lk| lk.capacity.as_bps()).unwrap_or(0.0);
-                    self.plane
-                        .handle(now, p, topo, &mut self.switches, &drain, &mut pkt_out);
-                    for (t, e) in pkt_out.events.drain(..) {
-                        q.schedule_at(t, Ev::Pkt(e));
-                    }
-                    for msg in pkt_out.flow_ins.drain(..) {
-                        q.schedule_at(
-                            now + self.config.ctrl_latency,
-                            Ev::ToController(Box::new(msg)),
-                        );
-                    }
-                    pkt_out.clear();
-                }
-                Ev::ToController(msg) => {
-                    let mut out = Outbox::new();
-                    {
-                        let ctx = ControllerCtx {
-                            topo: &self.topo,
-                            now,
-                        };
-                        controller.dispatch(&msg, &ctx, &mut out);
-                    }
-                    for (sw, m) in out.msgs {
-                        q.schedule_at(
-                            now + self.config.ctrl_latency,
-                            Ev::ToSwitch {
-                                switch: sw,
-                                msg: Box::new(m),
-                            },
-                        );
-                    }
-                    // timers unsupported in the packet baseline (documented)
-                }
-                Ev::ToSwitch { switch, msg } => {
-                    if let Some(sw) = self.switches.get_mut(&switch) {
-                        for reply in sw.apply(&msg, now) {
-                            q.schedule_at(
-                                now + self.config.ctrl_latency,
-                                Ev::ToController(Box::new(reply)),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        let sim_time = horizon;
-        PacketResults {
-            records: self.plane.records(horizon),
-            link_bytes: self.plane.link_bytes.clone(),
-            drops: self.plane.drops,
-            events,
-            wall_seconds: start_wall.elapsed().as_secs_f64(),
-            sim_time,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::TcpState;
-    use horse_controlplane::{PolicyGenerator, PolicyRule, PolicySpec};
+    use horse_controlplane::{
+        Controller, ControllerCtx, Outbox, PolicyGenerator, PolicyRule, PolicySpec,
+    };
     use horse_topology::builders;
+    use horse_types::Rate;
 
     fn mk_spec(
         topo: &Topology,
@@ -1457,183 +1282,6 @@ mod tests {
             start: SimTime::from_millis(10),
             source,
         }
-    }
-
-    fn run_star(
-        size: ByteSize,
-        source: SourceKind,
-        horizon_s: u64,
-    ) -> (PacketResults, Topology, Vec<NodeId>) {
-        let f = builders::star(3, Rate::mbps(100.0));
-        let mut gen = PolicyGenerator::new(
-            PolicySpec::new().with(PolicyRule::MacForwarding),
-            &f.topology,
-        )
-        .unwrap();
-        let net = PacketNet::new(f.topology.clone(), PacketSimConfig::default());
-        let spec = mk_spec(&f.topology, f.members[0], f.members[1], 1000, size, source);
-        let res = net.run(&mut gen, vec![spec], SimTime::from_secs(horizon_s));
-        (res, f.topology, f.members)
-    }
-
-    #[test]
-    fn cbr_flow_delivers_all_bytes() {
-        let (res, _, _) = run_star(
-            ByteSize::bytes(150_000), // 100 packets
-            SourceKind::Cbr { rate_bps: 10e6 },
-            60,
-        );
-        assert!(res.records[0].completed, "delivered {:?}", res.records[0]);
-        // 150 kB at 10 Mbps = 120 ms (+ transit)
-        let fct = res.records[0].fct_secs();
-        assert!(fct > 0.118 && fct < 0.15, "fct {fct}");
-        assert_eq!(res.drops, 0);
-    }
-
-    #[test]
-    fn tcp_flow_completes_and_acks_flow_back() {
-        let (res, _, _) = run_star(
-            ByteSize::bytes(1_500_000), // 1000 segments
-            SourceKind::Tcp(TcpState::new()),
-            60,
-        );
-        assert!(res.records[0].completed);
-        let fct = res.records[0].fct_secs();
-        // ideal: 1.5 MB at ~100 Mbps ≈ 0.12 s; slow start adds RTTs
-        assert!(fct > 0.12 && fct < 2.0, "fct {fct}");
-    }
-
-    #[test]
-    fn tcp_fills_the_pipe_reasonably() {
-        let (res, topo, members) = run_star(ByteSize::mib(4), SourceKind::Tcp(TcpState::new()), 60);
-        assert!(res.records[0].completed);
-        let fct = res.records[0].fct_secs();
-        let ideal = 4.0 * 1048576.0 * 8.0 / 100e6;
-        assert!(
-            fct < ideal * 1.6,
-            "tcp should reach ≥ ~60% of line rate: fct {fct} vs ideal {ideal}"
-        );
-        // bytes flowed over the source's access link
-        let (lid, _) = topo.out_links(members[0]).next().unwrap();
-        assert!(res.link_bytes[lid.index()] as u64 >= 4 * 1024 * 1024);
-    }
-
-    #[test]
-    fn two_tcp_flows_share_a_bottleneck() {
-        let f = builders::star(3, Rate::mbps(100.0));
-        let mut gen = PolicyGenerator::new(
-            PolicySpec::new().with(PolicyRule::MacForwarding),
-            &f.topology,
-        )
-        .unwrap();
-        let net = PacketNet::new(f.topology.clone(), PacketSimConfig::default());
-        // both flows into member 2: its access link is the bottleneck
-        let s1 = mk_spec(
-            &f.topology,
-            f.members[0],
-            f.members[2],
-            1000,
-            ByteSize::mib(2),
-            SourceKind::Tcp(TcpState::new()),
-        );
-        let s2 = mk_spec(
-            &f.topology,
-            f.members[1],
-            f.members[2],
-            2000,
-            ByteSize::mib(2),
-            SourceKind::Tcp(TcpState::new()),
-        );
-        let res = net.run(&mut gen, vec![s1, s2], SimTime::from_secs(60));
-        assert!(res.records[0].completed && res.records[1].completed);
-        // each ideally gets ~50 Mbps: 2 MiB each ⇒ ≈ 0.67 s total;
-        // allow generous losses/sawtooth margin
-        for r in &res.records {
-            assert!(r.fct_secs() < 2.5, "fct {}", r.fct_secs());
-        }
-    }
-
-    #[test]
-    fn reactive_controller_installs_rules_after_miss() {
-        let f = builders::star(2, Rate::mbps(100.0));
-        let mut gen =
-            PolicyGenerator::new(PolicySpec::new().with(PolicyRule::MacLearning), &f.topology)
-                .unwrap();
-        let net = PacketNet::new(f.topology.clone(), PacketSimConfig::default());
-        let spec = mk_spec(
-            &f.topology,
-            f.members[0],
-            f.members[1],
-            1000,
-            ByteSize::bytes(150_000),
-            SourceKind::Tcp(TcpState::new()),
-        );
-        let res = net.run(&mut gen, vec![spec], SimTime::from_secs(60));
-        assert!(res.records[0].completed, "{:?}", res.records[0]);
-        assert!(res.drops >= 1, "first packet(s) dropped at the miss");
-    }
-
-    #[test]
-    fn meter_polices_cbr_at_packet_level() {
-        let f = builders::star(2, Rate::mbps(100.0));
-        let mut gen = PolicyGenerator::new(
-            PolicySpec::new()
-                .with(PolicyRule::MacForwarding)
-                .with(PolicyRule::RateLimit {
-                    src: "h1".into(),
-                    dst: "h2".into(),
-                    rate_mbps: 10.0,
-                }),
-            &f.topology,
-        )
-        .unwrap();
-        let net = PacketNet::new(f.topology.clone(), PacketSimConfig::default());
-        // offer 50 Mbps for 2 simulated seconds against a 10 Mbps policer
-        let spec = PktFlowSpec {
-            start: SimTime::ZERO,
-            ..mk_spec(
-                &f.topology,
-                f.members[0],
-                f.members[1],
-                1000,
-                ByteSize::bytes(12_500_000), // 100 Mb = 2 s at 50 Mbps
-                SourceKind::Cbr { rate_bps: 50e6 },
-            )
-        };
-        let res = net.run(&mut gen, vec![spec], SimTime::from_secs(2));
-        // delivered ≈ 10 Mbps × 2 s = 2.5 MB (+ burst); must be well under
-        // the offered 12.5 MB and the drops must account for the excess
-        let delivered = res.records[0].bytes_delivered as f64;
-        assert!(
-            delivered < 5_000_000.0,
-            "policer must clamp: delivered {delivered}"
-        );
-        assert!(res.drops > 1000, "policer drops: {}", res.drops);
-    }
-
-    #[test]
-    fn buffer_overflow_drops() {
-        // 1 Mbps bottleneck, CBR at 100 Mbps: the queue must overflow
-        let f = builders::star(2, Rate::mbps(1.0));
-        let mut gen = PolicyGenerator::new(
-            PolicySpec::new().with(PolicyRule::MacForwarding),
-            &f.topology,
-        )
-        .unwrap();
-        let net = PacketNet::new(f.topology.clone(), PacketSimConfig::default());
-        let spec = PktFlowSpec {
-            start: SimTime::ZERO,
-            ..mk_spec(
-                &f.topology,
-                f.members[0],
-                f.members[1],
-                1000,
-                ByteSize::mib(10),
-                SourceKind::Cbr { rate_bps: 100e6 },
-            )
-        };
-        let res = net.run(&mut gen, vec![spec], SimTime::from_secs(1));
-        assert!(res.drops > 0, "tail drop must kick in");
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! # horse-packetsim
 //!
-//! A **packet-level reference simulator** sharing Horse's topology and
-//! OpenFlow pipeline. It is the controlled baseline for the paper's two
+//! The **packet-plane mechanics** behind Horse's packet-fidelity tier,
+//! sharing Horse's topology and OpenFlow pipeline. This crate has no
+//! event loop of its own: `horse-core`'s `Simulation` drives
+//! [`PacketPlane`] for packet-fidelity flows. A simulation whose flows are
+//! all packet-fidelity is the controlled baseline for the paper's two
 //! evaluation axes: *simulation time* (packet-level cost grows with every
 //! packet × hop, flow-level with flow events only) and *accuracy* (how
 //! close the fluid abstraction gets to per-packet ground truth). It stands
@@ -18,8 +21,8 @@
 //!   (slow start, congestion avoidance, triple-dup-ACK fast retransmit,
 //!   RTO with exponential backoff, cumulative ACKs, 64-byte ACK packets);
 //! * reactive controllers: a table miss raises `FlowIn` (the packet is
-//!   dropped, as on a bufferless OpenFlow switch) and FlowMods return
-//!   after the control latency.
+//!   dropped, as on a bufferless OpenFlow switch); the driver carries it
+//!   to the controller and the FlowMods back over its control channel.
 //!
 //! Deliberately omitted (documented, smoltcp-style): SACK, delayed ACKs,
 //! Nagle, window scaling beyond the configured cap, ECN, and RED queues —
@@ -32,7 +35,6 @@ pub mod engine;
 pub mod source;
 
 pub use engine::{
-    DrainFn, PacketNet, PacketPlane, PacketResults, PacketSimConfig, Pkt, PktEvent, PktFlowRecord,
-    PktFlowSpec, PktOut,
+    DrainFn, PacketPlane, PacketSimConfig, Pkt, PktEvent, PktFlowRecord, PktFlowSpec, PktOut,
 };
 pub use source::{SourceKind, TcpState};

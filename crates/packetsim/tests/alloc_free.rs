@@ -1,7 +1,7 @@
-//! Packet-plane hot-path allocation discipline (PR 10 satellite).
+//! Packet-plane hot-path allocation discipline.
 //!
-//! [`PacketPlane::handle`] is the per-event workhorse of both drivers
-//! (the standalone baseline and the hybrid co-simulation). Once warm —
+//! [`PacketPlane::handle`] is the per-event workhorse of the packet
+//! plane. Once warm —
 //! port queues touched, the decision cache populated, scratch buffers
 //! grown to their high-water marks — steady-state event handling must
 //! perform **zero heap allocations**: burst coalescing reuses the queued
@@ -26,16 +26,28 @@ use horse_packetsim::{
 use horse_topology::builders;
 use horse_types::{ByteSize, FlowKey, LinkId, NodeId, Rate, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `cargo test` runs tests on
+    /// parallel threads (and its own harness thread allocates while it
+    /// reports results), so a process-wide count would charge other
+    /// threads' allocations to the region under test. The code under
+    /// test is single-threaded, so the count is exact.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the slot is gone while a thread tears down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -44,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Drives one flow through a 2-member star with proactive MAC forwarding
@@ -72,7 +84,7 @@ fn drive(source: SourceKind, size: ByteSize, warmup: u64) -> (u64, u64, bool) {
             switches.insert(id, OpenFlowSwitch::new(id, 2, &ports));
         }
     }
-    // Proactive bootstrap, as the standalone driver does at t=0.
+    // Proactive bootstrap, as the simulation does at t=0.
     let mut out = Outbox::new();
     gen.on_start(
         &ControllerCtx {

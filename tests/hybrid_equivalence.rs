@@ -3,16 +3,14 @@
 //!
 //! * an **all-fluid** hybrid run (machinery attached, zero packet flows)
 //!   is byte-identical to the pure fluid engine;
-//! * an **all-packet** hybrid run reproduces the standalone
-//!   `horse-packetsim` baseline verbatim, flow by flow;
 //! * a **mixed-fidelity** run reports foreground-flow FCTs close to a
-//!   full packet-level run of the same inputs on the paper's
-//!   figure1 fabric.
+//!   full packet-level run (every flow at packet fidelity) of the same
+//!   inputs on the paper's figure1 fabric.
+//!
+//! The packet mechanics themselves are pinned by the per-packet oracle in
+//! `pkt_burst_equivalence.rs`.
 
-use horse::compare::materialize_workload;
-use horse::controlplane::PolicyGenerator;
-use horse::hybrid::pkt_flow_spec;
-use horse::packetsim::{PacketNet, PacketSimConfig, PktFlowSpec};
+use horse::compare::{materialize_workload, packet_baseline};
 use horse::prelude::*;
 
 /// A deterministic gravity-workload scenario on the paper's Figure-1
@@ -21,7 +19,7 @@ fn figure1_fabric_scenario(seed: u64, n: usize, horizon_s: u64) -> Scenario {
     let f = builders::figure1_fabric();
     let mut s = Scenario::bare(f.topology, SimTime::from_secs(horizon_s));
     s.members = f.members;
-    // proactive policy: the packet baseline drops packets on table misses
+    // proactive policy: packet flows drop packets on table misses
     s.policy = PolicySpec::new().with(PolicyRule::LoadBalancing { mode: LbMode::Ecmp });
     let weights = TrafficMatrix::zipf_weights(s.members.len(), 0.8);
     s.workload = Some(WorkloadParams {
@@ -41,12 +39,10 @@ fn figure1_fabric_scenario(seed: u64, n: usize, horizon_s: u64) -> Scenario {
     s
 }
 
-/// The comparison config: no periodic machinery (the standalone packet
-/// baseline has neither stats epochs nor entry expiry) and the packet
-/// plane's default control latency.
+/// The comparison config: no periodic machinery (stats epochs, entry
+/// expiry), so only flow, control and packet events run.
 fn packet_aligned_config() -> SimConfig {
     SimConfig::default()
-        .with_ctrl_latency(PacketSimConfig::default().ctrl_latency)
         .with_stats_epoch(None)
         .with_expiry_scan(None)
 }
@@ -92,57 +88,6 @@ fn all_fluid_hybrid_run_is_byte_identical_to_fluid_engine() {
     let hybrid = run(true);
     assert_eq!(pure.0, hybrid.0, "aggregate results must match bit-for-bit");
     assert_eq!(pure.1, hybrid.1, "per-flow records must match bit-for-bit");
-}
-
-#[test]
-fn all_packet_hybrid_run_matches_packetsim_verbatim() {
-    let horizon = SimTime::from_secs(20);
-    let mut s = figure1_fabric_scenario(7, 12, 20);
-    // every explicit flow at packet fidelity
-    for (_, spec) in s.explicit_flows.iter_mut() {
-        spec.fidelity = Fidelity::Packet;
-    }
-
-    // ---- hybrid run (single queue, shared pipeline) ----
-    let mut sim = Simulation::new(s.clone(), packet_aligned_config()).unwrap();
-    let results = sim.run();
-    let hybrid = sim.hybrid().expect("packet flows attach the hybrid half");
-    assert_eq!(hybrid.flow_count(), s.explicit_flows.len());
-    let hybrid_records = hybrid.pkt_records(horizon);
-
-    // ---- standalone packet baseline over identical inputs ----
-    let mut controller = PolicyGenerator::new(s.policy.clone(), &s.topology).unwrap();
-    let specs: Vec<PktFlowSpec> = s
-        .explicit_flows
-        .iter()
-        .map(|(at, f)| pkt_flow_spec(f, *at).expect("sized"))
-        .collect();
-    let net = PacketNet::new(s.topology.clone(), PacketSimConfig::default());
-    let baseline = net.run(&mut controller, specs, horizon);
-
-    assert_eq!(hybrid_records.len(), baseline.records.len());
-    for (h, b) in hybrid_records.iter().zip(baseline.records.iter()) {
-        assert_eq!(h.key, b.key, "flow order preserved");
-        assert_eq!(h.completed, b.completed, "completion of {:?}", h.key);
-        assert_eq!(
-            h.bytes_delivered, b.bytes_delivered,
-            "delivered bytes of {:?}",
-            h.key
-        );
-        assert_eq!(
-            h.finished.as_nanos(),
-            b.finished.as_nanos(),
-            "finish instant of {:?} must match to the nanosecond",
-            h.key
-        );
-    }
-    assert_eq!(
-        hybrid.plane().drops(),
-        baseline.drops,
-        "drop counts must match"
-    );
-    // no fluid flows existed: the fluid plane carried nothing itself
-    assert_eq!(results.pkt_flows, hybrid_records.len() as u64);
 }
 
 #[test]
@@ -198,23 +143,20 @@ fn mixed_fidelity_foreground_fct_tracks_full_packet_run() {
     );
 
     // ---- full packet-level run of ALL flows ----
-    let mut controller = PolicyGenerator::new(s.policy.clone(), &s.topology).unwrap();
-    let specs: Vec<PktFlowSpec> = s
-        .explicit_flows
-        .iter()
-        .map(|(at, f)| pkt_flow_spec(f, *at).expect("sized"))
-        .collect();
-    let net = PacketNet::new(s.topology.clone(), PacketSimConfig::default());
-    let baseline = net.run(&mut controller, specs, horizon);
+    let mut full = Simulation::new(packet_baseline(&s), packet_aligned_config()).unwrap();
+    full.run();
+    let baseline = full
+        .hybrid()
+        .expect("packet flows attach the hybrid half")
+        .pkt_records(horizon);
+    assert_eq!(baseline.len(), s.explicit_flows.len());
 
-    // foreground flows are the first `foreground` records of both runs
     let mut errors = Vec::new();
-    for (h, b) in hybrid_records
-        .iter()
-        .zip(baseline.records.iter())
-        .take(foreground)
-    {
-        assert_eq!(h.key, b.key);
+    for h in &hybrid_records {
+        let b = baseline
+            .iter()
+            .find(|b| b.key == h.key)
+            .expect("every foreground flow runs in the full packet run");
         assert!(
             h.completed && b.completed,
             "foreground flows complete in both runs ({:?}: hybrid {}, packet {})",
